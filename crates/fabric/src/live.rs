@@ -102,11 +102,9 @@ impl LiveCore {
         FabricStats {
             per_resource: vec![0.0; self.spec.resource_count()],
             transfers: st.transfers,
-            flows: 0,
             bytes_requested: st.bytes_requested,
-            events: 0,
             now_ns: self.now(),
-            net_fault_hits: 0,
+            ..FabricStats::default()
         }
     }
 }

@@ -8,17 +8,25 @@
 //! * A *flow* is a quantity of work (bytes, CPU ops) that simultaneously
 //!   claims a set of resources. Active flows share each resource max-min
 //!   fairly (progressive filling); a flow's rate is the minimum of its
-//!   per-resource allocations. When flows start or finish, all rates are
-//!   recomputed and completion events rescheduled.
+//!   per-resource allocations.
 //! * *Processes* are real OS threads that run **one at a time**: a process
 //!   executes until it blocks on a flow, a sleep, a queue or a gate, at which
 //!   point the engine advances the virtual clock to the next event and wakes
-//!   exactly one process. All wakeups travel through the event queue, so a
+//!   exactly one process. All wakeups are ordered by `(time, seq)`, so a
 //!   simulation is deterministic for a fixed seed and spawn order.
 //!
-//! Stale events are handled with generation counters on both flows and
-//! process block-sites, the standard technique for heap-based simulators
-//! that cannot delete arbitrary heap entries.
+//! Max-min allocations decompose over the connected components of the
+//! flow–resource graph. When a flow starts or finishes, progressive filling
+//! re-runs only over the component(s) holding that flow's resources; every
+//! other flow keeps its rate bit for bit. The component's flows are filled
+//! in id order, so bottleneck ties break exactly as in a fill over all
+//! flows (debug builds check this after every recompute).
+//!
+//! Flow completions never enter the event heap. Each recompute re-derives
+//! every flow's completion time and keeps the earliest; the run loop fires
+//! it when it precedes the heap's next wake. The heap holds only process
+//! wakes, and a wake whose block generation has moved on is discarded when
+//! popped.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -41,19 +49,22 @@ const NET_SALT: u64 = 0x4E45_545F_4641_554C; // "NET_FAUL"
 /// Reasons a process can be blocked — used in deadlock diagnostics.
 pub(crate) type BlockReason = &'static str;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EvKind {
-    /// A fluid flow ran out of work.
-    FlowDone { flow: u64, gen: u64 },
-    /// Wake a blocked process (sleeps, queue/gate notifications, spawns).
-    Wake { proc: u64, gen: u64 },
+/// What the run loop fires next.
+enum Due {
+    /// A flow ran out of work (or came due starved, see `reschedule`).
+    Flow(u64),
+    /// A valid wake for this process.
+    Wake(u64),
 }
 
+/// Wake a blocked process (sleeps, queue/gate notifications, spawns) if it
+/// is still blocked in generation `gen`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Ev {
     time: SimTime,
     seq: u64,
-    kind: EvKind,
+    proc: u64,
+    gen: u64,
 }
 
 impl Ord for Ev {
@@ -71,7 +82,9 @@ struct Flow {
     resources: Vec<u32>,
     remaining: f64,
     rate: f64,
-    gen: u64,
+    /// Set while a recompute holds the flow in its component and has not
+    /// yet frozen its rate; clear between recomputes.
+    mark: bool,
     waiter: u64,
 }
 
@@ -97,6 +110,12 @@ struct SimState {
     seq: u64,
     events: BinaryHeap<Reverse<Ev>>,
     flows: BTreeMap<u64, Flow>,
+    /// Earliest `(eta, id)` over all flows, as of the last recompute.
+    next_flow: Option<(SimTime, u64)>,
+    /// First `seq` of the last recompute's block: flow `k` in id order
+    /// ranks as if scheduled with `flow_seq + k`, so a completion at `eta`
+    /// precedes a wake at the same time iff that wake was pushed earlier.
+    flow_seq: u64,
     next_flow_id: u64,
     /// resource -> active flow ids
     res_flows: Vec<Vec<u64>>,
@@ -112,10 +131,21 @@ struct SimState {
     flows_started: u64,
     bytes_requested: f64,
     events_processed: u64,
+    heap_pushes: u64,
+    recomputes: u64,
+    rerated_flows: u64,
     running: bool,
     // scratch buffers for recompute (reused to avoid per-event allocation)
     scratch_cap: Vec<f64>,
     scratch_nf: Vec<u32>,
+    /// Resources reached by the current component search.
+    res_seen: Vec<bool>,
+    /// Component search queue; afterwards, every resource it reached.
+    bfs: Vec<u32>,
+    /// Flow ids of the current component, ascending.
+    comp: Vec<u64>,
+    /// The component's loaded resources in first-appearance order.
+    active_res: Vec<u32>,
     /// Installed network-fault windows (expired ones are pruned lazily).
     net_faults: Vec<NetFault>,
     /// Dedicated RNG stream for Drop draws; decoupled from process RNGs so
@@ -142,6 +172,8 @@ impl SimCore {
                 seq: 0,
                 events: BinaryHeap::new(),
                 flows: BTreeMap::new(),
+                next_flow: None,
+                flow_seq: 0,
                 next_flow_id: 0,
                 res_flows: vec![Vec::new(); nres],
                 res_done: vec![0.0; nres],
@@ -155,9 +187,16 @@ impl SimCore {
                 flows_started: 0,
                 bytes_requested: 0.0,
                 events_processed: 0,
+                heap_pushes: 0,
+                recomputes: 0,
+                rerated_flows: 0,
                 running: false,
                 scratch_cap: vec![0.0; nres],
                 scratch_nf: vec![0; nres],
+                res_seen: vec![false; nres],
+                bfs: Vec::new(),
+                comp: Vec::new(),
+                active_res: Vec::new(),
                 net_faults: Vec::new(),
                 net_rng: StdRng::seed_from_u64(seed ^ NET_SALT),
                 net_fault_hits: 0,
@@ -188,14 +227,20 @@ impl SimCore {
         );
         st.live_procs += 1;
         let now = st.now;
-        Self::push_event(&mut st, now, EvKind::Wake { proc: pid, gen: 0 });
+        Self::push_wake(&mut st, now, pid, 0);
         pid
     }
 
-    fn push_event(st: &mut SimState, time: SimTime, kind: EvKind) {
+    fn push_wake(st: &mut SimState, time: SimTime, proc: u64, gen: u64) {
         let seq = st.seq;
         st.seq += 1;
-        st.events.push(Reverse(Ev { time, seq, kind }));
+        st.heap_pushes += 1;
+        st.events.push(Reverse(Ev {
+            time,
+            seq,
+            proc,
+            gen,
+        }));
     }
 
     /// Mark the calling process blocked and return the fresh block
@@ -248,14 +293,14 @@ impl SimCore {
     pub(crate) fn schedule_wake(&self, pid: u64, gen: u64) {
         let mut st = self.state.lock();
         let now = st.now;
-        Self::push_event(&mut st, now, EvKind::Wake { proc: pid, gen });
+        Self::push_wake(&mut st, now, pid, gen);
     }
 
     /// Block the calling process for `dur` nanoseconds of virtual time.
     pub fn sleep(&self, pid: u64, parker: &Parker, dur: u64) {
         self.block(pid, "sleep", |st, gen| {
             let t = st.now.saturating_add(dur);
-            Self::push_event(st, t, EvKind::Wake { proc: pid, gen });
+            Self::push_wake(st, t, pid, gen);
         });
         parker.park();
     }
@@ -280,12 +325,12 @@ impl SimCore {
                     resources: resources.to_vec(),
                     remaining: work,
                     rate: 0.0,
-                    gen: 0,
+                    mark: false,
                     waiter: pid,
                 },
             );
             st.flows_started += 1;
-            Self::recompute(st, &self.spec);
+            Self::recompute(st, &self.spec, resources);
         });
         parker.park();
     }
@@ -411,35 +456,101 @@ impl SimCore {
         st.last_settle = to;
     }
 
-    /// Max-min fair rate allocation (progressive filling), then reschedule
-    /// every flow's completion event under its new rate.
-    fn recompute(st: &mut SimState, spec: &ClusterSpec) {
-        // Collect resources that currently carry flows.
-        let mut active_res: Vec<u32> = Vec::new();
-        for f in st.flows.values() {
-            for &r in &f.resources {
-                if st.scratch_nf[r as usize] == 0 {
-                    active_res.push(r);
-                }
-                st.scratch_nf[r as usize] += 1;
+    /// Re-rate the flows that share a component with `seeds` (the resources
+    /// of the flow that just started or finished), then re-derive every
+    /// flow's completion time.
+    fn recompute(st: &mut SimState, spec: &ClusterSpec, seeds: &[u32]) {
+        st.recomputes += 1;
+        Self::collect_component(st, seeds);
+        st.rerated_flows += st.comp.len() as u64;
+        let comp = std::mem::take(&mut st.comp);
+        Self::fill(st, spec, &comp);
+        st.comp = comp;
+        #[cfg(debug_assertions)]
+        Self::check_against_full_fill(st, spec);
+        Self::reschedule(st);
+    }
+
+    /// Breadth-first search over `res_flows` from `seeds`: mark every flow
+    /// reachable through shared resources and leave their ids, ascending,
+    /// in `st.comp`.
+    fn collect_component(st: &mut SimState, seeds: &[u32]) {
+        let SimState {
+            flows,
+            res_flows,
+            res_seen,
+            bfs,
+            comp,
+            ..
+        } = st;
+        comp.clear();
+        bfs.clear();
+        for &r in seeds {
+            if !res_seen[r as usize] {
+                res_seen[r as usize] = true;
+                bfs.push(r);
             }
         }
-        for &r in &active_res {
-            st.scratch_cap[r as usize] = spec.capacity(r);
+        let mut next = 0;
+        while let Some(&r) = bfs.get(next) {
+            next += 1;
+            for id in &res_flows[r as usize] {
+                let f = flows.get_mut(id).expect("resource lists only live flows");
+                if f.mark {
+                    continue;
+                }
+                f.mark = true;
+                comp.push(*id);
+                for &r2 in &f.resources {
+                    if !res_seen[r2 as usize] {
+                        res_seen[r2 as usize] = true;
+                        bfs.push(r2);
+                    }
+                }
+            }
+        }
+        for &r in bfs.iter() {
+            res_seen[r as usize] = false;
+        }
+        comp.sort_unstable();
+    }
+
+    /// Max-min fair rate allocation (progressive filling) over the marked
+    /// flows `comp`, ascending by id. Clears their marks.
+    fn fill(st: &mut SimState, spec: &ClusterSpec, comp: &[u64]) {
+        let SimState {
+            flows,
+            res_flows,
+            scratch_cap: cap,
+            scratch_nf: nf,
+            active_res,
+            ..
+        } = st;
+        // Collect resources that carry the component's flows.
+        active_res.clear();
+        for id in comp {
+            for &r in &flows[id].resources {
+                if nf[r as usize] == 0 {
+                    active_res.push(r);
+                }
+                nf[r as usize] += 1;
+            }
+        }
+        for &r in active_res.iter() {
+            cap[r as usize] = spec.capacity(r);
         }
 
         // Progressive filling: repeatedly find the resource with the lowest
         // fair share, freeze its flows at that rate, subtract.
-        let mut unfrozen: std::collections::HashSet<u64> = st.flows.keys().copied().collect();
-        let mut frozen_rate: HashMap<u64, f64> = HashMap::with_capacity(st.flows.len());
-        while !unfrozen.is_empty() {
+        let mut unfrozen = comp.len();
+        while unfrozen > 0 {
             let mut best: Option<(u32, f64)> = None;
-            for &r in &active_res {
-                let nf = st.scratch_nf[r as usize];
-                if nf == 0 {
+            for &r in active_res.iter() {
+                let n = nf[r as usize];
+                if n == 0 {
                     continue;
                 }
-                let share = (st.scratch_cap[r as usize] / nf as f64).max(0.0);
+                let share = (cap[r as usize] / n as f64).max(0.0);
                 if best.is_none_or(|(_, s)| share < s) {
                     best = Some((r, share));
                 }
@@ -448,57 +559,83 @@ impl SimCore {
                 break;
             };
             // Freeze all unfrozen flows crossing the bottleneck.
-            let flow_ids: Vec<u64> = st.res_flows[bottleneck as usize]
-                .iter()
-                .copied()
-                .filter(|id| unfrozen.contains(id))
-                .collect();
-            debug_assert!(!flow_ids.is_empty());
-            for id in flow_ids {
-                unfrozen.remove(&id);
-                frozen_rate.insert(id, share);
-                let f = &st.flows[&id];
+            for id in &res_flows[bottleneck as usize] {
+                let f = flows.get_mut(id).expect("resource lists only live flows");
+                if !f.mark {
+                    continue;
+                }
+                f.mark = false;
+                f.rate = share;
+                unfrozen -= 1;
                 for &r in &f.resources {
-                    st.scratch_cap[r as usize] = (st.scratch_cap[r as usize] - share).max(0.0);
-                    st.scratch_nf[r as usize] -= 1;
+                    cap[r as usize] = (cap[r as usize] - share).max(0.0);
+                    nf[r as usize] -= 1;
+                }
+            }
+        }
+        // Flows that cross no resource get no rate.
+        if unfrozen > 0 {
+            for id in comp {
+                let f = flows.get_mut(id).expect("component lists only live flows");
+                if f.mark {
+                    f.mark = false;
+                    f.rate = 0.0;
                 }
             }
         }
 
-        // Apply rates and reschedule completions.
+        // Clear scratch.
+        for &r in active_res.iter() {
+            nf[r as usize] = 0;
+            cap[r as usize] = 0.0;
+        }
+    }
+
+    /// Debug oracle: a fill over every flow must reproduce the incremental
+    /// rates bit for bit. A divergence is raised from `run()`, like a
+    /// process panic (a panic here could strand the calling process).
+    #[cfg(debug_assertions)]
+    fn check_against_full_fill(st: &mut SimState, spec: &ClusterSpec) {
+        let want: Vec<(u64, f64)> = st.flows.iter().map(|(&id, f)| (id, f.rate)).collect();
+        let all: Vec<u64> = want.iter().map(|&(id, _)| id).collect();
+        for f in st.flows.values_mut() {
+            f.mark = true;
+        }
+        Self::fill(st, spec, &all);
+        for (id, incremental) in want {
+            let full = st.flows[&id].rate;
+            if full.to_bits() != incremental.to_bits() {
+                st.panics.push(format!(
+                    "engine: flow {id} re-rated to {incremental} by its component, {full} by a full fill"
+                ));
+            }
+        }
+    }
+
+    /// Re-derive every flow's completion time from its settled `remaining`
+    /// and current rate, and pick the earliest. The flows take the next
+    /// `flows.len()` sequence numbers as one block, in id order.
+    fn reschedule(st: &mut SimState) {
         let now = st.now;
-        let mut to_push: Vec<(SimTime, EvKind)> = Vec::with_capacity(frozen_rate.len());
-        for (&id, f) in st.flows.iter_mut() {
-            let rate = frozen_rate.get(&id).copied().unwrap_or(0.0);
-            f.rate = rate;
-            f.gen += 1;
+        st.flow_seq = st.seq;
+        st.seq += st.flows.len() as u64;
+        let mut next: Option<(SimTime, u64)> = None;
+        for (&id, f) in st.flows.iter() {
             let eta = if f.remaining <= 0.0 {
                 now
-            } else if rate <= 0.0 {
+            } else if f.rate <= 0.0 {
                 // Fully starved flow (capacity exhausted by frozen flows due
-                // to fp rounding): retry shortly; progressive filling
-                // guarantees this cannot persist.
+                // to fp rounding): it comes due shortly and is re-armed, not
+                // completed, while work remains.
                 now + 1_000
             } else {
-                now + ((f.remaining / rate) * 1e9).ceil() as u64
+                now + ((f.remaining / f.rate) * 1e9).ceil() as u64
             };
-            to_push.push((
-                eta,
-                EvKind::FlowDone {
-                    flow: id,
-                    gen: f.gen,
-                },
-            ));
+            if next.is_none_or(|(t, _)| eta < t) {
+                next = Some((eta, id));
+            }
         }
-        for (t, k) in to_push {
-            Self::push_event(st, t, k);
-        }
-
-        // Clear scratch.
-        for &r in &active_res {
-            st.scratch_nf[r as usize] = 0;
-            st.scratch_cap[r as usize] = 0.0;
-        }
+        st.next_flow = next;
     }
 
     fn wake_proc(&self, st: &mut SimState, pid: u64) {
@@ -509,15 +646,20 @@ impl SimCore {
         p.parker.unpark();
     }
 
-    /// Is this event still meaningful?
-    fn event_valid(st: &SimState, ev: &Ev) -> bool {
-        match ev.kind {
-            EvKind::FlowDone { flow, gen } => st.flows.get(&flow).is_some_and(|f| f.gen == gen),
-            EvKind::Wake { proc, gen } => st
-                .procs
-                .get(&proc)
-                .is_some_and(|p| matches!(p.state, ProcState::Blocked(_)) && p.block_gen == gen),
-        }
+    /// Is this wake still meaningful?
+    fn wake_valid(st: &SimState, ev: &Ev) -> bool {
+        st.procs
+            .get(&ev.proc)
+            .is_some_and(|p| matches!(p.state, ProcState::Blocked(_)) && p.block_gen == ev.gen)
+    }
+
+    /// The flow due next, if its completion precedes every queued wake.
+    fn flow_due(st: &SimState) -> Option<(SimTime, u64)> {
+        let (eta, id) = st.next_flow?;
+        st.events
+            .peek()
+            .is_none_or(|Reverse(w)| (eta, st.flow_seq) < (w.time, w.seq))
+            .then_some((eta, id))
     }
 
     /// Run the engine until every process has finished. Panics are collected
@@ -534,8 +676,11 @@ impl SimCore {
             if !st.panics.is_empty() || st.live_procs == 0 {
                 break;
             }
-            // Pop the next valid event.
-            let ev = loop {
+            // The next event: the due flow completion or the next valid wake.
+            let (time, due) = loop {
+                if let Some((eta, id)) = Self::flow_due(&st) {
+                    break (eta, Due::Flow(id));
+                }
                 match st.events.pop() {
                     None => {
                         let mut msg = String::from(
@@ -561,29 +706,30 @@ impl SimCore {
                         panic!("{msg}");
                     }
                     Some(Reverse(ev)) => {
-                        if Self::event_valid(&st, &ev) {
-                            break ev;
+                        if Self::wake_valid(&st, &ev) {
+                            break (ev.time, Due::Wake(ev.proc));
                         }
                     }
                 }
             };
-            debug_assert!(ev.time >= st.now, "time must be monotonic");
-            Self::settle(&mut st, ev.time);
-            st.now = ev.time;
+            debug_assert!(time >= st.now, "time must be monotonic");
+            Self::settle(&mut st, time);
+            st.now = time;
             st.events_processed += 1;
-            match ev.kind {
-                EvKind::Wake { proc, .. } => self.wake_proc(&mut st, proc),
-                EvKind::FlowDone { flow, .. } => {
-                    let f = st.flows.remove(&flow).expect("valid event implies flow");
-                    debug_assert!(
-                        f.remaining <= 1.0,
-                        "flow completed with {} units left",
-                        f.remaining
-                    );
+            match due {
+                Due::Wake(proc) => self.wake_proc(&mut st, proc),
+                Due::Flow(id) if st.flows[&id].remaining > 1.0 => {
+                    // A starved flow came due with work left: re-arm it
+                    // under fresh rates instead of completing it early.
+                    let seeds = st.flows[&id].resources.clone();
+                    Self::recompute(&mut st, &self.spec, &seeds);
+                }
+                Due::Flow(id) => {
+                    let f = st.flows.remove(&id).expect("next_flow names a live flow");
                     for &r in &f.resources {
-                        st.res_flows[r as usize].retain(|&x| x != flow);
+                        st.res_flows[r as usize].retain(|&x| x != id);
                     }
-                    Self::recompute(&mut st, &self.spec);
+                    Self::recompute(&mut st, &self.spec, &f.resources);
                     self.wake_proc(&mut st, f.waiter);
                 }
             }
@@ -604,6 +750,9 @@ impl SimCore {
             flows: st.flows_started,
             bytes_requested: st.bytes_requested,
             events: st.events_processed,
+            heap_pushes: st.heap_pushes,
+            recomputes: st.recomputes,
+            rerated_flows: st.rerated_flows,
             now_ns: st.now,
             net_fault_hits: st.net_fault_hits,
         }
@@ -743,6 +892,48 @@ mod tests {
             (s.events, s.now_ns)
         };
         assert_eq!(run_once(), run_once());
+    }
+
+    #[test]
+    fn starved_flow_is_rearmed_not_completed() {
+        let spec = ClusterSpec::tiny(2);
+        let core = SimCore::new(spec.clone(), 0);
+        let bytes = 117_000_000.0; // exactly 1 second at nic_bw
+        let tx = spec.resource(NodeId(0), ResourceKind::Tx);
+        let rx = spec.resource(NodeId(1), ResourceKind::Rx);
+        let done = Arc::new(Mutex::new(None));
+        let (c2, d2) = (core.clone(), done.clone());
+        spawn_raw(&core, NodeId(0), "xfer", move |pid, parker| {
+            c2.flow(pid, parker, &[tx, rx], bytes);
+            let st = c2.state.lock();
+            *d2.lock() = Some((st.now, st.res_done[tx as usize]));
+        });
+        let c3 = core.clone();
+        spawn_raw(&core, NodeId(1), "starver", move |pid, parker| {
+            c3.sleep(pid, parker, 500_000_000);
+            // Halfway through, starve the flow as fp rounding in the fill
+            // could: rate 0, so it comes due 1 us later with work left.
+            let mut st = c3.state.lock();
+            let now = st.now;
+            SimCore::settle(&mut st, now);
+            for f in st.flows.values_mut() {
+                f.rate = 0.0;
+            }
+            SimCore::reschedule(&mut st);
+            assert_eq!(st.next_flow.map(|(t, _)| t), Some(now + 1_000));
+        });
+        core.run();
+        let (t, moved) = done.lock().expect("transfer finished");
+        assert!(
+            (moved - bytes).abs() < 1.0,
+            "waiter woken with {moved} of {bytes} bytes moved"
+        );
+        assert!(
+            (t as f64 - 1e9 - 1e3).abs() < 2.0e3,
+            "expected ~1e9 ns plus the 1 us stall, got {t}"
+        );
+        let s = core.stats();
+        assert_eq!(s.recomputes, 3, "start, re-arm, finish");
     }
 
     #[test]

@@ -20,6 +20,15 @@ pub struct FabricStats {
     pub bytes_requested: f64,
     /// Events processed by the simulation engine (0 in live mode).
     pub events: u64,
+    /// Entries pushed onto the engine's event heap (process wakes only;
+    /// flow completions never enter it). 0 in live mode.
+    pub heap_pushes: u64,
+    /// Max-min rate recomputes, one per flow start, finish or re-arm.
+    /// 0 in live mode.
+    pub recomputes: u64,
+    /// Flows re-rated by those recomputes: the summed sizes of the
+    /// flow-resource components they re-filled. 0 in live mode.
+    pub rerated_flows: u64,
     /// Current virtual/wall time in nanoseconds.
     pub now_ns: u64,
     /// Times an installed network fault actually penalized a transfer

@@ -10,10 +10,16 @@
 //! 3. **Work accounting**: per-resource byte counters equal the bytes the
 //!    transfers moved through them.
 //! 4. **Determinism**: repeating the run with the same seed is identical.
+//!
+//! A fifth property drives multi-hop chains, optionally over a shared
+//! backplane, so flow–resource components merge as chains start and split
+//! as they finish. The engine re-fills only the touched component; its
+//! debug build checks every such fill against a fill over all flows, so
+//! this property exercises that check under `cargo test`.
 
 use std::sync::Arc;
 
-use fabric::{ClusterSpec, Fabric, NodeId};
+use fabric::{ClusterSpec, Fabric, FabricStats, NodeId};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 
@@ -70,8 +76,73 @@ fn run(xfers: &[Xfer], nodes: u8, seed: u64) -> (Vec<Done>, u64, u64) {
     (out, stats.events, stats.now_ns)
 }
 
+#[derive(Debug, Clone)]
+struct Chain {
+    hops: Vec<u8>,
+    mb: u32,
+    delay_ms: u16,
+}
+
+fn chain_strategy(nodes: u8) -> impl Strategy<Value = Chain> {
+    (prop::collection::vec(0..nodes, 2..5), 1u32..32, 0u16..50)
+        .prop_map(|(hops, mb, delay_ms)| Chain { hops, mb, delay_ms })
+}
+
+/// Run `chains` as `transfer_chain`s; returns each chain's duration in
+/// input order, and the fabric counters.
+fn run_chains(chains: &[Chain], spec: &ClusterSpec, seed: u64) -> (Vec<u64>, FabricStats) {
+    let fx = Fabric::sim_seeded(spec.clone(), seed);
+    let took: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(vec![0; chains.len()]));
+    for (i, c) in chains.iter().enumerate() {
+        let c = c.clone();
+        let t2 = took.clone();
+        fx.spawn(NodeId(c.hops[0] as u32), format!("c{i}"), move |p| {
+            p.sleep(c.delay_ms as u64 * fabric::MILLIS);
+            let hops: Vec<NodeId> = c.hops.iter().map(|&n| NodeId(n as u32)).collect();
+            let start = p.now();
+            p.transfer_chain(&hops, c.mb as u64 * 1_000_000);
+            t2.lock()[i] = p.now() - start;
+        });
+    }
+    fx.run();
+    let took = took.lock().clone();
+    (took, fx.stats())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
+
+    #[test]
+    fn component_fills_hold_as_components_merge_and_split(
+        chains in prop::collection::vec(chain_strategy(6), 1..20),
+        backplane in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        let nic = ClusterSpec::tiny(6).nic_bw;
+        let spec = ClusterSpec::tiny(6).with_backplane(backplane.then_some(nic * 1.5));
+        let (took, stats) = run_chains(&chains, &spec, seed);
+        let slowest = spec.backplane_bw.map_or(spec.nic_bw, |bp| bp.min(spec.nic_bw));
+        for (c, &dur_ns) in chains.iter().zip(&took) {
+            let hops = c.hops.windows(2).filter(|w| w[0] != w[1]).count() as u64;
+            if hops == 0 {
+                continue;
+            }
+            // A chain can never beat its slowest hop.
+            let min_ns =
+                spec.latency_ns * hops + (c.mb as f64 * 1e6 / slowest * 1e9) as u64;
+            prop_assert!(
+                dur_ns + 2_000 >= min_ns,
+                "chain {:?} of {} MB finished impossibly fast: {} < {}",
+                c.hops, c.mb, dur_ns, min_ns
+            );
+        }
+        // Each flow is filled once when it starts and once when it ends,
+        // and never re-armed starved.
+        prop_assert_eq!(stats.recomputes, 2 * stats.flows);
+        prop_assert!(stats.heap_pushes <= 2 * stats.events);
+        let again = run_chains(&chains, &spec, seed);
+        prop_assert_eq!((took, stats), again, "chain run is not deterministic");
+    }
 
     #[test]
     fn max_min_fairness_invariants(
